@@ -45,6 +45,9 @@ type Environment struct {
 	rz        *cascade.Realization
 	res       *graph.Residual
 	activated int
+	// visited is Observe's BFS mask, allocated on first use and left
+	// all false between calls, so an observation costs O(|A(u)|).
+	visited []bool
 }
 
 // NewEnvironment wraps a sampled realization.
@@ -68,7 +71,10 @@ func (e *Environment) Residual() *graph.Residual { return e.res }
 // (u included if alive), and removes it. Seeding a dead node activates
 // nothing.
 func (e *Environment) Observe(u graph.NodeID) []graph.NodeID {
-	a := cascade.Activated(e.rz, e.res, []graph.NodeID{u})
+	if e.visited == nil {
+		e.visited = make([]bool, e.rz.Graph().N())
+	}
+	a := cascade.AppendActivated(nil, e.rz, e.res, []graph.NodeID{u}, e.visited)
 	e.res.RemoveAll(a)
 	e.activated += len(a)
 	return a

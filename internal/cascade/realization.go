@@ -7,6 +7,22 @@
 // Linear Threshold (LT) model are supported. Both are triggering models,
 // so realizations, reverse-reachable sets and all concentration bounds
 // carry over between them unchanged.
+//
+// IC worlds are drawn by a bulk coin kernel, rng.AppendCoins, called once
+// per node over its out-adjacency. The kernel is bit-identical to flipping
+// rng.Coin edge by edge in CSR order, the sampler it replaced: it makes
+// the same two Uint32 draws per edge with 0 < p < 1 and none for p = 1,
+// in the same order, and compares the same 53-bit uniform against p. It
+// only avoids a call and an unpredictable branch per edge. Every
+// realization for a given seed, the caller's generator state afterwards,
+// and so every seed sequence, profit, golden and checkpoint are unchanged
+// (sample_test.go pins the kernel against a per-edge Coin reference).
+//
+// Observation is O(|activated|): AppendActivated runs the BFS over a
+// caller-owned visited mask and resets only the entries it set, so an
+// adaptive environment (or a Monte-Carlo loop) allocates the n-entry mask
+// once instead of once per call. The BFS order, which the residual's
+// alive-list order and so later RR root draws depend on, is unchanged.
 package cascade
 
 import (
@@ -69,18 +85,36 @@ func Sample(g *graph.Graph, model Model, r *rng.RNG) *Realization {
 func sampleIC(g *graph.Graph, r *rng.RNG) *Realization {
 	n := g.N()
 	rz := &Realization{g: g, model: IC, outIdx: make([]int32, n+1)}
-	live := make([]graph.NodeID, 0, g.M()/2)
+	var live []graph.NodeID
+	var flipped int64 // coins flipped so far
 	for u := 0; u < n; u++ {
 		adj, ps := g.OutNeighbors(graph.NodeID(u))
-		for i, v := range adj {
-			if r.Coin(ps[i]) {
-				live = append(live, v)
-			}
+		if cap(live)-len(live) < len(adj) {
+			live = growLive(live, len(adj), flipped, g.M())
 		}
+		live = r.AppendCoins(live, adj, ps)
+		flipped += int64(len(adj))
 		rz.outIdx[u+1] = int32(len(live))
 	}
 	rz.outAdj = live
 	return rz
+}
+
+// growLive returns live with room for at least need more edges, sized
+// from what has survived so far: the m−flipped coins still to flip are
+// expected to land at the rate the first flipped did, plus 1/16 slack.
+// A first call (nothing flipped yet) reserves a small probe, and every
+// regrowth is at least 5/4 of the old capacity, so a sample regrows a few
+// times instead of preallocating for a fixed fraction of m.
+func growLive(live []graph.NodeID, need int, flipped, m int64) []graph.NodeID {
+	want := int64(len(live)+need) + 1024
+	if flipped > 0 {
+		proj := int64(len(live)) + int64(float64(m-flipped)*float64(len(live))/float64(flipped))
+		want = max(want, proj+proj/16, int64(cap(live))*5/4)
+	}
+	grown := make([]graph.NodeID, len(live), min(want, int64(len(live))+m-flipped))
+	copy(grown, live)
+	return grown
 }
 
 func sampleLT(g *graph.Graph, r *rng.RNG) *Realization {
@@ -160,6 +194,3 @@ func (rz *Realization) Model() Model { return rz.model }
 func (rz *Realization) LiveOut(u graph.NodeID) []graph.NodeID {
 	return rz.outAdj[rz.outIdx[u]:rz.outIdx[u+1]]
 }
-
-// LiveEdgeCount returns the number of live edges.
-func (rz *Realization) LiveEdgeCount() int { return len(rz.outAdj) }

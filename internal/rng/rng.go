@@ -15,6 +15,7 @@ package rng
 import (
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // RNG is a PCG-XSH-RR 64/32 pseudo-random generator. The zero value is not
@@ -25,6 +26,9 @@ type RNG struct {
 }
 
 const pcgMult = 6364136223846793005
+
+// oneBits is the IEEE-754 bit pattern of 1.0.
+const oneBits = 0x3FF0000000000000
 
 // splitmix64 advances a SplitMix64 state and returns the next output.
 // It is used only for seeding, never for user-visible randomness.
@@ -105,6 +109,11 @@ func (r *RNG) SplitStreams(dst []RNG) {
 func (r *RNG) Uint32() uint32 {
 	old := r.state
 	r.state = old*pcgMult + r.inc
+	return output(old)
+}
+
+// output is PCG's XSH-RR output permutation of a pre-step state.
+func output(old uint64) uint32 {
 	xorshifted := uint32(((old >> 18) ^ old) >> 27)
 	rot := uint(old >> 59)
 	return bits.RotateLeft32(xorshifted, -int(rot))
@@ -155,6 +164,60 @@ func (r *RNG) Coin(p float64) bool {
 		return true
 	}
 	return r.Float64() < p
+}
+
+// AppendCoins flips Coin(ps[i]) for every items[i], in order, appends
+// each item whose coin lands to dst, and returns the extended slice. It
+// draws exactly what that Coin loop draws — two Uint32 for 0 < p < 1,
+// none for p >= 1 or p <= 0 — so the appended items and r's final state
+// are the loop's, bit for bit. ps must be at least as long as items and
+// hold no NaN (graph probabilities never do).
+//
+// It is the bulk form of the loop, for forward IC sampling (one call per
+// node's out-adjacency). Its loop body has no branch on the data: it
+// computes both PCG successors of the state (the two-step one as a
+// single multiply-add), keeps the one Coin would reach by a conditional
+// move on whether p draws, writes every item at the output cursor and
+// advances the cursor only when the coin lands. The coins themselves are
+// unpredictable, so a branch on them mispredicts often; avoiding that
+// branch and the per-item call is what makes the kernel cheaper.
+func (r *RNG) AppendCoins(dst, items []int32, ps []float64) []int32 {
+	n := len(dst)
+	dst = slices.Grow(dst, len(items))
+	k, state := coinKernel(dst[n:n+len(items)], items, ps, r.state, r.inc)
+	r.state = state
+	return dst[:n+k]
+}
+
+// coinKernel is AppendCoins' loop over len(out) == len(items) ==
+// len(ps), kept apart so that its few live values stay in registers. It
+// returns the number of items written and the advanced state.
+func coinKernel(out, items []int32, ps []float64, state, inc uint64) (int, uint64) {
+	// Two PCG steps fold into one affine map: s'' = s·M² + inc·(M+1).
+	mult := uint64(pcgMult)
+	mult2, inc2 := mult*mult, inc*mult+inc
+	ps = ps[:len(items)]
+	out = out[:len(items)]
+	k := 0
+	for i, v := range items {
+		p := ps[i]
+		s1 := state*mult + inc
+		s2 := state*mult2 + inc2
+		// Float64() < p, with Float64 built from the two outputs exactly
+		// as Uint64 and Float64 build it.
+		x := (uint64(output(state))<<32 | uint64(output(s1))) >> 11
+		land := float64(x)/(1<<53) < p
+		// Coin draws iff 0 < p < 1: as unsigned bit patterns, exactly
+		// the p with 1 <= bits(p) < bits(1).
+		if math.Float64bits(p)-1 < oneBits-1 {
+			state = s2
+		}
+		out[k] = v
+		if land {
+			k++
+		}
+	}
+	return k, state
 }
 
 // Perm returns a uniform random permutation of [0, n).

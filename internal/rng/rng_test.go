@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -211,5 +212,97 @@ func BenchmarkIntn(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
 		_ = r.Intn(1000003)
+	}
+}
+
+// appendCoinsLoop is the per-item Coin loop AppendCoins must reproduce.
+func appendCoinsLoop(r *RNG, dst, items []int32, ps []float64) []int32 {
+	for i, v := range items {
+		if r.Coin(ps[i]) {
+			dst = append(dst, v)
+		}
+	}
+	return dst
+}
+
+// TestAppendCoinsMatchesCoinLoop pins AppendCoins to the Coin loop it
+// replaces: the same items appended, in order, and the generator left in
+// the same state, across runs mixing p >= 1, p <= 0 and 0 < p < 1,
+// empty and long runs, many seeds, and dst with and without spare room.
+func TestAppendCoinsMatchesCoinLoop(t *testing.T) {
+	special := []float64{1, 1.5, 0, -0.25, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, math.Nextafter(1, 0)}
+	for seed := uint64(0); seed < 200; seed++ {
+		gen := New(seed + 1000)
+		for _, n := range []int{0, 1, 2, 7, 64, 1000} {
+			items := make([]int32, n)
+			ps := make([]float64, n)
+			for i := range items {
+				items[i] = int32(gen.Intn(1 << 20))
+				switch gen.Intn(4) {
+				case 0:
+					ps[i] = special[gen.Intn(len(special))]
+				case 1:
+					ps[i] = 1 / float64(1+gen.Intn(50))
+				default:
+					ps[i] = gen.Float64()
+				}
+			}
+			prefix := []int32{-1, -2}
+			a, b := New(seed), New(seed)
+			want := appendCoinsLoop(a, append([]int32(nil), prefix...), items, ps)
+			dst := make([]int32, len(prefix), len(prefix)+gen.Intn(n+2))
+			copy(dst, prefix)
+			got := b.AppendCoins(dst, items, ps)
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d n %d: AppendCoins = %v, Coin loop = %v", seed, n, got, want)
+			}
+			if *a != *b || a.Uint32() != b.Uint32() {
+				t.Fatalf("seed %d n %d: generator state diverged from the Coin loop", seed, n)
+			}
+		}
+	}
+}
+
+// TestAppendCoinsDrawCount: a p >= 1 or p <= 0 item draws nothing and a
+// 0 < p < 1 item draws exactly two Uint32.
+func TestAppendCoinsDrawCount(t *testing.T) {
+	r, ref := New(5), New(5)
+	r.AppendCoins(nil, []int32{1, 2, 3, 4}, []float64{1, 0, 0.5, 2})
+	ref.Uint32()
+	ref.Uint32()
+	if *r != *ref {
+		t.Fatal("AppendCoins consumed other than two draws for one fractional coin")
+	}
+	if got := New(6).AppendCoins(nil, []int32{7, 8}, []float64{1, 0}); !slices.Equal(got, []int32{7}) {
+		t.Fatalf("p=1 and p=0 items gave %v, want [7]", got)
+	}
+}
+
+func benchCoinItems() ([]int32, []float64) {
+	r := New(3)
+	items := make([]int32, 6)
+	ps := make([]float64, len(items))
+	for i := range items {
+		items[i] = int32(i)
+		ps[i] = 1 / float64(1+r.Intn(12))
+	}
+	return items, ps
+}
+
+func BenchmarkCoinLoop(b *testing.B) {
+	items, ps := benchCoinItems()
+	r := New(1)
+	dst := make([]int32, 0, len(items))
+	for i := 0; i < b.N; i++ {
+		dst = appendCoinsLoop(r, dst[:0], items, ps)
+	}
+}
+
+func BenchmarkAppendCoins(b *testing.B) {
+	items, ps := benchCoinItems()
+	r := New(1)
+	dst := make([]int32, 0, len(items))
+	for i := 0; i < b.N; i++ {
+		dst = r.AppendCoins(dst[:0], items, ps)
 	}
 }
