@@ -420,9 +420,10 @@ func newSeqStepper(inst *Instance, reg regime, opts SamplingOptions, warm *ris.B
 func (st *seqStepper) setInterrupt(f func() error) { st.b.SetInterrupt(f) }
 
 func (st *seqStepper) mutate(_ *Instance, touched []graph.NodeID) error {
-	// Survivors are valid RR sets of the new graph at the unchanged
-	// residual version, so the next round's Sync keeps them and GrowTo
-	// draws only the shortfall.
+	// Survivors never reached a touched node, so they stay at the
+	// unchanged residual version: the next round's Sync keeps them and
+	// GrowTo draws only the shortfall. They carry the survivor bias of
+	// Collection.InvalidateTouching.
 	st.b.Invalidate(touched)
 	return nil
 }
@@ -455,12 +456,13 @@ func (st *seqStepper) next(s *Session) (graph.NodeID, bool, error) {
 		// Per-target marginal profit from the tracked containment counts.
 		// The effective sample size is the full collection, which can
 		// exceed this look's target when a round starts from a larger
-		// filtered carry-over. Within-round growth keeps the certificates
-		// exact (same residual, independent samples); sets kept across
-		// rounds additionally carry Filter's root-mix tilt, so cross-round
-		// certificates are exact per root but approximate in the root
-		// marginal — NoReuse restores the paper's from-scratch sampling
-		// when that matters.
+		// filtered carry-over. Within-round growth draws independent
+		// samples on the same residual. Sets kept across rounds are not:
+		// Filter's survivors are biased even conditioned on their root
+		// (survival conditions on the coins into deleted nodes having
+		// failed; see Collection.Filter), so cross-round certificates are
+		// approximate, not exact. Exact replay is ROADMAP item 1; NoReuse
+		// restores the paper's from-scratch sampling.
 		best := graph.NodeID(-1)
 		bestProfit, bestLower := 0.0, 0.0
 		maxUpper, maxWidth := 0.0, 0.0
@@ -627,11 +629,11 @@ func (st *fixedStepper) next(s *Session) (graph.NodeID, bool, error) {
 		// The effective sample size is col.Len(), which can exceed this
 		// attempt's θ when a new round starts from a larger filtered
 		// collection. For within-round growth the certificates hold
-		// verbatim (same residual, independent samples, θ' ≥ θ); sets
-		// kept across rounds additionally carry Filter's root-mix tilt,
-		// so cross-round certificates are exact per root but approximate
-		// in the root marginal — NoReuse restores the paper's
-		// from-scratch sampling when that matters.
+		// verbatim (same residual, independent samples, θ' ≥ θ). Sets
+		// kept across rounds are biased even conditioned on their root
+		// (see Collection.Filter), so cross-round certificates are
+		// approximate; exact replay is ROADMAP item 1, and NoReuse
+		// restores the paper's from-scratch sampling.
 		best := graph.NodeID(-1)
 		bestProfit, bestFrac := 0.0, 0.0
 		maxUpper := 0.0

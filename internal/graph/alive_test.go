@@ -102,3 +102,48 @@ func TestAliveListRandomizedAgainstMask(t *testing.T) {
 		}
 	}
 }
+
+// TestAliveBitsTrackMembership: the membership bitset behind Alive (and
+// read directly by Collection.Filter) must agree with the alive list
+// across word boundaries, with the bits past N clear, after removals, a
+// clone, a restore and a reset.
+func TestAliveBitsTrackMembership(t *testing.T) {
+	g := MustFromEdges(200, true, nil) // 3 full words plus an 8-bit tail
+	r := NewResidual(g)
+	check := func(where string, r *Residual) {
+		t.Helper()
+		alive := make([]bool, g.N())
+		for _, u := range r.AliveList() {
+			alive[u] = true
+		}
+		bits := r.AliveBits()
+		if len(bits) != (g.N()+63)/64 {
+			t.Fatalf("%s: %d bitset words for %d nodes", where, len(bits), g.N())
+		}
+		for u := 0; u < len(bits)*64; u++ {
+			set := bits[u>>6]>>(uint(u)&63)&1 != 0
+			if want := u < g.N() && alive[u]; set != want {
+				t.Fatalf("%s: bit %d = %v, want %v", where, u, set, want)
+			}
+			if u < g.N() && r.Alive(NodeID(u)) != set {
+				t.Fatalf("%s: Alive(%d) disagrees with its bit", where, u)
+			}
+		}
+	}
+	check("fresh", r)
+	for _, u := range []NodeID{0, 63, 64, 65, 127, 128, 199, 17, 17} {
+		r.Remove(u)
+	}
+	check("after removals", r)
+	cp := r.Clone()
+	check("clone", cp)
+	cp.Remove(5)
+	check("original after clone mutated", r)
+	restored := NewResidual(g)
+	if err := restored.RestoreAlive(r.AliveList(), r.Version()); err != nil {
+		t.Fatal(err)
+	}
+	check("restored", restored)
+	r.Reset()
+	check("reset", r)
+}

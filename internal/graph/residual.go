@@ -10,6 +10,9 @@ import "fmt"
 // The alive-node list is maintained incrementally (swap-remove on Remove,
 // rebuilt only on Reset), so uniform root sampling reads it in O(1) via
 // AliveList instead of rebuilding an O(N) slice per residual version.
+// Membership is a dense bitset (n/8 bytes) next to it, so the per-node
+// liveness tests of RR sampling and Collection.Filter stay cache-resident
+// on graphs whose 4-byte-per-node position array spills the caches.
 //
 // A Residual is not safe for concurrent mutation; concurrent readers are
 // fine between mutations. Clone produces an independent view sharing the
@@ -21,7 +24,10 @@ type Residual struct {
 	// -1 when u has been removed.
 	aliveList []NodeID
 	pos       []int32
-	version   int64 // bumped on every mutation; lets caches detect staleness
+	// alive has bit u&63 of word u>>6 set iff u is alive; bits past N are
+	// zero.
+	alive   []uint64
+	version int64 // bumped on every mutation; lets caches detect staleness
 }
 
 // NewResidual returns a residual view of g with all nodes alive.
@@ -30,6 +36,7 @@ func NewResidual(g *Graph) *Residual {
 		g:         g,
 		aliveList: make([]NodeID, g.N()),
 		pos:       make([]int32, g.N()),
+		alive:     make([]uint64, (g.N()+63)/64),
 	}
 	r.fillAlive()
 	return r
@@ -48,6 +55,12 @@ func (r *Residual) fillAlive() {
 		r.aliveList[u] = v
 		r.pos[v] = int32(u)
 	}
+	for i := range r.alive {
+		r.alive[i] = ^uint64(0)
+	}
+	if tail := r.g.N() & 63; tail != 0 {
+		r.alive[len(r.alive)-1] = 1<<tail - 1
+	}
 }
 
 // Graph returns the underlying immutable graph.
@@ -63,7 +76,13 @@ func (r *Residual) FullN() int { return r.g.N() }
 func (r *Residual) Version() int64 { return r.version }
 
 // Alive reports whether node u is still present.
-func (r *Residual) Alive(u NodeID) bool { return r.pos[u] >= 0 }
+func (r *Residual) Alive(u NodeID) bool { return r.alive[u>>6]>>(uint(u)&63)&1 != 0 }
+
+// AliveBits returns the membership bitset without allocating: bit u&63 of
+// word u>>6 is set iff u is alive. The slice aliases internal storage,
+// must not be modified, and reflects every later mutation. Scans that
+// test many nodes (Collection.Filter) read it directly.
+func (r *Residual) AliveBits() []uint64 { return r.alive }
 
 // Remove deletes node u from the view in O(1) (swap-remove on the alive
 // list). Removing an already-removed node is a no-op. Returns true if the
@@ -79,6 +98,7 @@ func (r *Residual) Remove(u NodeID) bool {
 	r.pos[moved] = i
 	r.aliveList = r.aliveList[:last]
 	r.pos[u] = -1
+	r.alive[u>>6] &^= 1 << (uint(u) & 63)
 	r.version++
 	return true
 }
@@ -134,10 +154,12 @@ func (r *Residual) Clone() *Residual {
 		g:         r.g,
 		aliveList: make([]NodeID, len(r.aliveList), r.g.N()),
 		pos:       make([]int32, len(r.pos)),
+		alive:     make([]uint64, len(r.alive)),
 		version:   r.version,
 	}
 	copy(cp.aliveList, r.aliveList)
 	copy(cp.pos, r.pos)
+	copy(cp.alive, r.alive)
 	return cp
 }
 
@@ -155,6 +177,9 @@ func (r *Residual) RestoreAlive(alive []NodeID, version int64) error {
 	for i := range r.pos {
 		r.pos[i] = -1
 	}
+	for i := range r.alive {
+		r.alive[i] = 0
+	}
 	r.aliveList = r.aliveList[:0]
 	for i, u := range alive {
 		if u < 0 || u >= n {
@@ -164,6 +189,7 @@ func (r *Residual) RestoreAlive(alive []NodeID, version int64) error {
 			return fmt.Errorf("graph: restore alive list repeats node %d", u)
 		}
 		r.pos[u] = int32(i)
+		r.alive[u>>6] |= 1 << (uint(u) & 63)
 		r.aliveList = append(r.aliveList, u)
 	}
 	r.version = version
@@ -175,30 +201,4 @@ func (r *Residual) RestoreAlive(alive []NodeID, version int64) error {
 func (r *Residual) Reset() {
 	r.fillAlive()
 	r.version++
-}
-
-// Materialize builds a standalone Graph containing only alive nodes, with
-// nodes renumbered densely. It returns the new graph plus old->new and
-// new->old ID mappings. Used by tests and by the exact oracle, where
-// enumeration cost depends on the materialized size.
-func (r *Residual) Materialize() (*Graph, map[NodeID]NodeID, []NodeID) {
-	oldToNew := make(map[NodeID]NodeID, len(r.aliveList))
-	newToOld := make([]NodeID, 0, len(r.aliveList))
-	for u := int32(0); u < int32(r.g.N()); u++ {
-		if r.pos[u] >= 0 {
-			oldToNew[u] = NodeID(len(newToOld))
-			newToOld = append(newToOld, u)
-		}
-	}
-	b := NewBuilder(len(r.aliveList), r.g.Directed())
-	for _, oldU := range newToOld {
-		adj, ps := r.g.OutNeighbors(oldU)
-		for i, oldV := range adj {
-			if newV, ok := oldToNew[oldV]; ok {
-				// Endpoints alive by construction; errors impossible here.
-				_ = b.AddEdge(oldToNew[oldU], newV, ps[i])
-			}
-		}
-	}
-	return b.Build(), oldToNew, newToOld
 }

@@ -114,7 +114,7 @@ func TestMaterialize(t *testing.T) {
 	g := MustFromEdges(7, true, fig1Edges())
 	r := NewResidual(g)
 	r.RemoveAll([]NodeID{1, 2, 3}) // Fig. 1(c) residual G2
-	sub, oldToNew, newToOld := r.Materialize()
+	sub, oldToNew, newToOld := materialize(r)
 	if sub.N() != 4 {
 		t.Fatalf("materialized N = %d, want 4", sub.N())
 	}
@@ -135,6 +135,31 @@ func TestMaterialize(t *testing.T) {
 			t.Fatalf("mapping mismatch: old %d -> new %d -> old %d", old, nw, newToOld[nw])
 		}
 	}
+}
+
+// materialize builds a standalone Graph containing only r's alive nodes,
+// renumbered densely, plus the old->new and new->old ID mappings: the
+// subgraph reading of a residual, checked against the mask view.
+func materialize(r *Residual) (*Graph, map[NodeID]NodeID, []NodeID) {
+	oldToNew := make(map[NodeID]NodeID, len(r.aliveList))
+	newToOld := make([]NodeID, 0, len(r.aliveList))
+	for u := int32(0); u < int32(r.g.N()); u++ {
+		if r.pos[u] >= 0 {
+			oldToNew[u] = NodeID(len(newToOld))
+			newToOld = append(newToOld, u)
+		}
+	}
+	b := NewBuilder(len(r.aliveList), r.g.Directed())
+	for _, oldU := range newToOld {
+		adj, ps := r.g.OutNeighbors(oldU)
+		for i, oldV := range adj {
+			if newV, ok := oldToNew[oldV]; ok {
+				// Endpoints alive by construction; errors impossible here.
+				_ = b.AddEdge(oldToNew[oldU], newV, ps[i])
+			}
+		}
+	}
+	return b.Build(), oldToNew, newToOld
 }
 
 // Property: for any removal sequence, alive count equals N minus distinct

@@ -229,14 +229,15 @@ func (o *RIS) SingleSpreads(res *graph.Residual, nodes []graph.NodeID, out []flo
 // Refresh keeps the cached sets still valid under the new residual
 // (ris.Collection.Filter) and draws only the shortfall.
 //
-// Off by default because filtering tilts the pool's root mix: each kept
-// set is, conditioned on its root, exactly an RR set of the new residual,
-// but roots whose sets tend to survive are over-represented versus the
-// uniform root draw the estimator assumes. The tilt is proportional to
-// how much of the pool the deletion invalidated — negligible for the
-// small per-round deletions of adaptive seeding, extreme on adversarial
-// graphs (deleting a chain's middle node leaves only single-node sets).
-// Callers accepting that trade (ADG on large graphs) opt in explicitly.
+// Off by default because kept sets are biased: even conditioned on its
+// root, a survivor is not distributed as a fresh RR set of the new
+// residual (survival conditions on every coin from a deleted node into
+// the set having failed; see ris.Collection.Filter), and roots whose sets
+// tend to survive are over-represented versus the uniform root draw the
+// estimator assumes. It can be extreme on adversarial graphs (deleting a
+// chain's middle node leaves only single-node sets). Exact replay is
+// ROADMAP item 1. Callers accepting the trade (ADG on large graphs) opt
+// in explicitly.
 func (o *RIS) SetReuse(on bool) {
 	o.reuse = on
 	o.b.SetReuse(on)

@@ -67,6 +67,10 @@ type Collection struct {
 	// coverage is the attached incremental containment tracker, if any;
 	// Filter compacts it in lockstep and Reset zeroes it (see tracker.go).
 	coverage *Coverage
+
+	// keep is InvalidateTouching's node mask (bit u set: u may stay),
+	// all ones between calls; allocated on first use.
+	keep []uint64
 }
 
 // NewCollection creates an empty collection over a graph with n nodes
@@ -270,152 +274,176 @@ func (c *Collection) CountContaining(u graph.NodeID) int {
 
 // Filter compacts the collection in place to the RR sets that are still
 // valid on res: exactly those whose nodes (root included) are all alive.
-// Conditioned on its root, a surviving set is distributed exactly as an
-// RR set of the current residual (the failed coins into deleted nodes are
-// the only outcomes excluded), so adaptive rounds may keep these sets and
-// only top up the shortfall (ADDATP/HATP round loop, oracle.RIS.Refresh
-// with SetReuse). The caveat is the root mix: roots whose sets tend to
-// survive are over-represented versus a uniform draw from the new alive
-// set, a tilt proportional to the fraction of the pool invalidated —
-// negligible for the small per-round deletions near the adaptive stopping
-// frontier, where reuse saves the most.
+// Adaptive rounds keep these sets and only top up the shortfall
+// (ADDATP/HATP round loop, oracle.RIS.Refresh with SetReuse).
+//
+// Kept sets are NOT distributed as fresh RR sets of the current residual,
+// not even conditioned on their root. Survival conditions on every coin
+// from a deleted node into the set having failed, and on the set's shape:
+// on the toy graph x→r, y→r, d→x (all p=0.5) with d deleted, kept sets
+// rooted at r come out {r}, {r,x}, {r,y}, {r,x,y} with frequencies 1/3,
+// 1/6, 1/3, 1/6 against 1/4 each for fresh draws. Roots whose sets tend
+// to survive are also over-represented against a uniform root draw.
+// Exact reuse (replaying a stale set from its own stream) is ROADMAP
+// item 1. With reuse off (Batcher.SetReuse(false)) every round samples
+// from scratch.
 //
 // Filter is keyed on res.Version(): if the residual has not changed since
 // the sets were drawn (or last filtered), it returns immediately. It
-// returns the number of surviving sets. Set ids change on compaction, so
-// any Marks over the collection must be discarded.
+// returns the number of surviving sets. Set ids change when a set is
+// dropped, so any Marks over the collection must then be discarded.
 func (c *Collection) Filter(res *graph.Residual) int {
 	if c.version == res.Version() {
 		return c.Len()
 	}
-	cov := c.coverage
-	covSeen := 0
-	w := 0         // write cursor over sets
-	wa := int32(0) // write cursor over arena
-	for i := 0; i < c.Len(); i++ {
-		lo, hi := c.offsets[i], c.offsets[i+1]
-		alive := true
-		for _, u := range c.arena[lo:hi] {
-			if !res.Alive(u) {
-				alive = false
-				break
-			}
-		}
-		if !alive {
-			// Compact the attached coverage tracker in lockstep: a counted
-			// set that drops out must give its containment counts back.
-			if cov != nil && i < cov.seen {
-				for _, u := range c.arena[lo:hi] {
-					cov.counts[u]--
-				}
-			}
-			continue
-		}
-		if cov != nil && i < cov.seen {
-			covSeen++
-		}
-		copy(c.arena[wa:wa+(hi-lo)], c.arena[lo:hi])
-		c.roots[w] = c.roots[i]
-		w++
-		wa += hi - lo
-		c.offsets[w] = wa
-	}
-	c.roots = c.roots[:w]
-	c.offsets = c.offsets[:w+1]
-	c.arena = c.arena[:wa]
-	c.invValid = false
-	c.scratch = nil // set ids changed; stale marks must not survive
-	if cov != nil {
-		// Surviving counted sets form a prefix of the compacted order
-		// (Filter preserves order), so the tracker's counted prefix is
-		// exactly the kept sets it had already folded in.
-		cov.seen = covSeen
-	}
+	c.dropUnless(res.AliveBits())
 	c.version = res.Version()
-	c.requested = w
-	return w
+	return c.Len()
 }
 
 // InvalidateTouching compacts the collection in place to the RR sets that
-// contain none of the touched nodes — the generalized invalidation
-// contract for topology deltas. Reverse sampling examines edge (u,v) only
-// when it visits v, so an RR set avoiding every delta target endpoint
-// (graph.DeltaResult.Touched) is distributed on the new topology exactly
-// as it was drawn on the old one and stays valid; sets containing a
-// touched node are dropped and the shortfall is topped up through the
-// usual Batcher.GrowTo. The root-mix caveat of Filter applies here too,
-// proportional to the dropped fraction — small for the sparse-churn
-// deltas this is built for.
+// contain none of the touched nodes — the invalidation contract for
+// topology deltas. Reverse sampling examines edge (u,v) only when it
+// visits v, so the sets containing a delta target endpoint
+// (graph.DeltaResult.Touched) are exactly the ones whose draw could have
+// gone differently on the new topology; they are dropped and the
+// shortfall is topped up through the usual Batcher.GrowTo. The survivors
+// carry the same kind of selection bias as Filter's (survival conditions
+// on the walk never having reached a touched node); see Filter and
+// ROADMAP item 1.
 //
 // Unlike Filter, the collection's residual version is left alone: the
 // survivors remain valid for the current residual, so a later Sync/Filter
-// at the same version is the expected no-op. When the inverted index is
-// current it is used to flag the dropped sets in O(hits); otherwise a
-// single mark-and-scan pass over the arena decides. Set ids change on
-// compaction, so any Marks over the collection must be discarded; an
-// attached Coverage is compacted in lockstep. Returns the number of
-// surviving sets.
+// at the same version is the expected no-op. It shares Filter's single
+// scan over the arena, against a node mask kept on the collection (n/8
+// bytes, allocated on first use), so warm calls allocate nothing. Set ids
+// change when a set is dropped, so any Marks over the collection must then
+// be discarded; an attached Coverage is compacted in lockstep. Returns the
+// number of surviving sets.
 func (c *Collection) InvalidateTouching(touched []graph.NodeID) int {
 	if len(touched) == 0 || c.Len() == 0 {
 		return c.Len()
 	}
-	var drop []bool
-	var marked []bool
-	if c.invValid {
-		drop = make([]bool, c.Len())
-		for _, u := range touched {
-			for _, id := range c.SetsContaining(u) {
-				drop[id] = true
-			}
-		}
-	} else {
-		marked = make([]bool, c.n)
-		for _, u := range touched {
-			marked[u] = true
+	if c.keep == nil {
+		c.keep = make([]uint64, (c.n+63)/64)
+		for i := range c.keep {
+			c.keep[i] = ^uint64(0)
 		}
 	}
+	for _, u := range touched {
+		c.keep[u>>6] &^= 1 << (uint(u) & 63)
+	}
+	c.dropUnless(c.keep)
+	for _, u := range touched {
+		c.keep[u>>6] |= 1 << (uint(u) & 63)
+	}
+	return c.Len()
+}
+
+// dropUnless removes every RR set holding a node u whose bit in keep
+// (bit u&63 of word u>>6) is clear, preserving the survivors' order, and
+// resets requested to the surviving count.
+//
+// One sequential pass tests each arena entry against the mask. On a hit,
+// a binary search over the offsets of the sets not yet passed finds the
+// set holding it, the sets between the previous drop and this one move
+// down as one run, and the scan resumes after the dropped set. A run move
+// is one copy of its arena span, one of its roots, and one loop rebasing
+// its offsets by a single shift, so the cost is a load and a test per
+// entry plus work proportional to the data behind the first drop. Writes
+// land at or below the run being read, and every set at or after the
+// scan position still holds its original offsets and nodes.
+//
+// An attached Coverage gives back the counts of dropped sets it had
+// already folded in; its counted prefix shrinks by their number, since
+// order is kept.
+func (c *Collection) dropUnless(keep []uint64) {
+	arena, offsets := c.arena, c.offsets
+	n := c.Len()
+	c.requested = n
 	cov := c.coverage
-	covSeen := 0
-	w := 0         // write cursor over sets
-	wa := int32(0) // write cursor over arena
-	for i := 0; i < c.Len(); i++ {
-		lo, hi := c.offsets[i], c.offsets[i+1]
-		keep := true
-		if drop != nil {
-			keep = !drop[i]
-		} else {
-			for _, u := range c.arena[lo:hi] {
-				if marked[u] {
-					keep = false
-					break
-				}
-			}
-		}
-		if !keep {
-			if cov != nil && i < cov.seen {
-				for _, u := range c.arena[lo:hi] {
-					cov.counts[u]--
-				}
-			}
-			continue
-		}
-		if cov != nil && i < cov.seen {
-			covSeen++
-		}
-		copy(c.arena[wa:wa+(hi-lo)], c.arena[lo:hi])
-		c.roots[w] = c.roots[i]
-		w++
-		wa += hi - lo
-		c.offsets[w] = wa
+	counted := 0 // sets [0, counted) are folded into cov
+	if cov != nil {
+		counted = cov.seen
 	}
+	w := 0    // sets kept so far: the write cursor over sets
+	next := 0 // first set neither kept nor dropped yet
+	j := 0    // scan position in the arena
+	for {
+		k := firstDropped(arena[j:], keep)
+		if k < 0 {
+			break
+		}
+		j += k
+		// The set holding entry j is the last one starting at or before
+		// j; offsets[next] <= j < offsets[n] brackets it.
+		lo, hi := next, n
+		for hi-lo > 1 {
+			mid := int(uint(lo+hi) >> 1)
+			if int(offsets[mid]) <= j {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		if lo < counted {
+			for _, v := range arena[offsets[lo]:offsets[lo+1]] {
+				cov.counts[v]--
+			}
+			cov.seen--
+		}
+		w = c.moveRun(w, next, lo)
+		next = lo + 1
+		j = int(offsets[next])
+	}
+	if next == 0 {
+		return // nothing dropped: ids, index and marks all stay valid
+	}
+	w = c.moveRun(w, next, n)
 	c.roots = c.roots[:w]
 	c.offsets = c.offsets[:w+1]
-	c.arena = c.arena[:wa]
+	c.arena = c.arena[:c.offsets[w]]
+	c.requested = w
 	c.invValid = false
 	c.scratch = nil // set ids changed; stale marks must not survive
-	if cov != nil {
-		cov.seen = covSeen
+}
+
+// firstDropped returns the index of the first node of nodes whose bit in
+// keep is clear, or -1. Four nodes are tested per branch: hits are rare.
+func firstDropped(nodes []graph.NodeID, keep []uint64) int {
+	j := 0
+	for ; j+4 <= len(nodes); j += 4 {
+		q := nodes[j : j+4 : j+4]
+		a, b, c, d := q[0], q[1], q[2], q[3]
+		if (keep[a>>6]>>(uint(a)&63))&(keep[b>>6]>>(uint(b)&63))&
+			(keep[c>>6]>>(uint(c)&63))&(keep[d>>6]>>(uint(d)&63))&1 == 0 {
+			break
+		}
 	}
-	c.requested = w
-	return w
+	for ; j < len(nodes); j++ {
+		u := nodes[j]
+		if keep[u>>6]>>(uint(u)&63)&1 == 0 {
+			return j
+		}
+	}
+	return -1
+}
+
+// moveRun moves sets [from, to) down to start at set w (w <= from, and
+// set w's start offset already rebased) and returns the write cursor
+// after them.
+func (c *Collection) moveRun(w, from, to int) int {
+	if w == from || from == to {
+		return w + to - from
+	}
+	lo, hi := c.offsets[from], c.offsets[to]
+	wa := c.offsets[w]
+	copy(c.arena[wa:], c.arena[lo:hi])
+	copy(c.roots[w:], c.roots[from:to])
+	shift := lo - wa
+	dst := c.offsets[w+1 : w+1+to-from]
+	for k, off := range c.offsets[from+1 : to+1] {
+		dst[k] = off - shift
+	}
+	return w + to - from
 }

@@ -94,15 +94,6 @@ func (m *Marks) Marginal(u graph.NodeID) int {
 	return gained
 }
 
-// MarginalCoverage returns CovR(u | S) = Cov(S ∪ {u}) − Cov(S) by building
-// a fresh mark state. Convenience for one-shot queries; loops should use
-// Marks directly.
-func (c *Collection) MarginalCoverage(u graph.NodeID, s []graph.NodeID) int {
-	m := c.NewMarks()
-	m.CoverAll(s)
-	return m.Marginal(u)
-}
-
 // EstimateSpread converts a coverage count into a spread estimate on a
 // graph (or residual) with nAlive nodes: nAlive * cov / θ.
 func EstimateSpread(cov, theta, nAlive int) float64 {

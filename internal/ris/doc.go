@@ -51,10 +51,11 @@
 //     plus per-set offsets, and a lazily built CSR inverted index — so a
 //     collection is ~4 contiguous allocations regardless of θ. Reset
 //     empties it in place keeping capacity (the pool's warm path);
-//     Collection.Filter compacts in place to the sets still valid on a
-//     mutated residual, enabling cross-round reuse: a set drawn on G_i
-//     that avoids every node deleted since remains a correctly
-//     distributed RR sample of G_j (j > i).
+//     Collection.Filter compacts in place, in one flat pass, to the sets
+//     avoiding every node deleted since they were drawn, enabling
+//     cross-round reuse. Survivors are biased samples of the new
+//     residual, even per root (see Filter; exact replay is ROADMAP
+//     item 1).
 //   - Coverage queries (coverage.go, select.go): CovR(S), incremental
 //     marginals via Marks, and heap-based CELF greedy max-coverage — the
 //     selection step of IMM (§VI-A) and the nonadaptive greedy baseline.

@@ -51,8 +51,9 @@ func editEdges(base, inserts, deletes []graph.Edge) []graph.Edge {
 // TestInvalidateTouchingMatchesBruteForce: after a topology delta,
 // InvalidateTouching must keep exactly the RR sets avoiding every touched
 // node, in order, contents intact, coverage compacted in lockstep, and the
-// collection's residual version untouched — on both the marked-scan path
-// (stale index) and the inverted-index path, against a brute-force rescan.
+// collection's residual version untouched — with the inverted index
+// stale and current (the scan must not depend on it), against a
+// brute-force rescan.
 func TestInvalidateTouchingMatchesBruteForce(t *testing.T) {
 	for _, warmIndex := range []bool{false, true} {
 		name := "scan"

@@ -218,12 +218,20 @@ func TestMarksIncrementalMatchesCov(t *testing.T) {
 	}
 }
 
+// marginalCoverage returns CovR(u | S) = Cov(S ∪ {u}) − Cov(S) through a
+// fresh mark state: the one-shot form of Marks.Marginal.
+func marginalCoverage(c *Collection, u graph.NodeID, s []graph.NodeID) int {
+	m := c.NewMarks()
+	m.CoverAll(s)
+	return m.Marginal(u)
+}
+
 func TestMarginalCoverageOneShot(t *testing.T) {
 	g := fig1Graph()
 	s := NewSampler(graph.NewResidual(g), cascade.IC, rng.New(71))
 	c := s.Generate(1000)
 	base := []graph.NodeID{1}
-	got := c.MarginalCoverage(3, base)
+	got := marginalCoverage(c, 3, base)
 	want := c.Cov([]graph.NodeID{1, 3}) - c.Cov(base)
 	if got != want {
 		t.Fatalf("MarginalCoverage = %d, want %d", got, want)

@@ -103,7 +103,7 @@ func NewBatcher(model cascade.Model) *Batcher {
 func (b *Batcher) Model() cascade.Model { return b.model }
 
 // SetReuse toggles cross-version reuse (see Collection.Filter for the
-// root-mix caveat of keeping filtered sets).
+// bias of keeping filtered sets).
 func (b *Batcher) SetReuse(on bool) { b.reuse = on }
 
 // SetInterrupt installs a cancellation poll on the underlying sampler

@@ -89,14 +89,18 @@ func TestMetricsEndToEnd(t *testing.T) {
 
 // TestScrapeWhileStepping scrapes /metrics concurrently with stepping
 // campaigns (run under -race in CI): no data race, and every scrape
-// stays well-formed enough to carry the step histogram.
+// stays well-formed enough to carry the step histogram. The step cap is
+// raised to the stepper count: the default 2×GOMAXPROCS is 2 at
+// GOMAXPROCS=1, so a loaded host could otherwise answer one stepper
+// 429, which is backpressure, not what this test checks.
 func TestScrapeWhileStepping(t *testing.T) {
+	const workers = 3
 	reg := NewRegistry(testSpec(), 0)
 	srv := NewServer(reg, "")
+	srv.SetMaxConcurrentSteps(workers)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	const workers = 3
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
